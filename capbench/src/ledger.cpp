@@ -12,6 +12,7 @@
 #include <thread>
 #include <utility>
 
+#include "host_speed.hpp"
 #include "stm/stm.hpp"
 #include "support/random.hpp"
 
@@ -461,6 +462,7 @@ LedgerResult run_ledger(const LedgerSpec& spec, std::uint64_t seed,
 
   // One round: fresh heap, populate, run, check live, close, reopen, check.
   auto round = [&](bool timed) -> bool {
+    host_speed().sample();
     Ledger ledger(spec, seed);
     std::string why;
     if (!ledger.create(path, &why)) {
@@ -509,10 +511,18 @@ LedgerResult run_ledger(const LedgerSpec& spec, std::uint64_t seed,
 }
 
 void ledger_end_to_end(const LedgerResult& r, Metrics& m) {
-  m.add("setup_s", r.setup_s, "s");
-  m.add("ops_per_s", static_cast<double>(r.committed) / r.timed_s, "ops/s");
-  m.add("op_latency_p50_us", median(r.p50_us), "us");
-  m.add("op_latency_p99_us", median(r.p99_us), "us");
+  const double ops_per_s = static_cast<double>(r.committed) / r.timed_s;
+  const double p50 = median(r.p50_us);
+  const double p99 = median(r.p99_us);
+  const double slow = host_speed().slowdown();
+  std::printf(
+      "# wall clock: setup_s %.6f, ops_per_s %.1f, op_latency_p50_us %.4f, "
+      "op_latency_p99_us %.4f; host slowdown %.4f over %zu samples\n",
+      r.setup_s, ops_per_s, p50, p99, slow, host_speed().samples());
+  m.add("setup_s", r.setup_s / slow, "s");
+  m.add("ops_per_s", ops_per_s * slow, "ops/s");
+  m.add("op_latency_p50_us", p50 / slow, "us");
+  m.add("op_latency_p99_us", p99 / slow, "us");
   m.add("peak_rss_mb", peak_rss_mb(), "MB");
 }
 

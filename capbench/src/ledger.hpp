@@ -182,7 +182,9 @@ LedgerResult run_ledger(const LedgerSpec& spec, std::uint64_t seed,
                         double seconds, bool traced,
                         const std::string& tmp_parent);
 
-/// Adds the end-to-end metrics of a ledger run to @p m.
+/// Adds the end-to-end metrics of a ledger run to @p m, at the quiet host's
+/// speed (see host_speed.hpp); prints them at wall-clock speed as a report
+/// line.
 void ledger_end_to_end(const LedgerResult& r, Metrics& m);
 
 }  // namespace capbench

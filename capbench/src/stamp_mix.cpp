@@ -1,13 +1,17 @@
 #include "stamp_mix.hpp"
 
+#include <pthread.h>
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <cstdio>
 #include <exception>
+#include <functional>
 #include <memory>
-#include <thread>
 
+#include "host_speed.hpp"
 #include "stamp/app.hpp"
 #include "support/random.hpp"
 
@@ -35,6 +39,57 @@ const MixSpec kContend4t{
      {"kmeans-low", 1.0}},
     4,
     cstm::TxConfig::compiler()};
+
+// Worker threads run on stacks the benchmark places itself, at a new
+// offset in each app run. glibc keeps a thread's TLS at the top of its
+// stack, so thread-local state seeded from its own address (txmap's treap
+// priorities) changes from run to run; with std::thread the cached stack
+// comes back at one address, and that state is fixed for the process.
+// The shifts step by 37 cache lines through a 64 KiB span: 1024 distinct
+// offsets, each worker touching at most 64 KiB more stack than without.
+constexpr std::size_t kMaxWorkers = 4;  // the most threads a mix runs
+constexpr std::size_t kStackBytes = std::size_t{8} << 20;
+constexpr std::size_t kShiftSpan = std::size_t{64} << 10;
+constexpr std::size_t kShiftStep = 64 * 37;
+
+class WorkerStacks {
+ public:
+  explicit WorkerStacks(std::size_t n) : n_(n) {
+    bytes_ = n * (kStackBytes + kShiftSpan);
+    void* p = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    base_ = p == MAP_FAILED ? nullptr : static_cast<char*>(p);
+  }
+  ~WorkerStacks() {
+    if (base_ != nullptr) munmap(base_, bytes_);
+  }
+  WorkerStacks(const WorkerStacks&) = delete;
+  WorkerStacks& operator=(const WorkerStacks&) = delete;
+
+  /// Starts @p fn on worker @p i's stack at shift @p shift; false on failure.
+  bool start(std::size_t i, std::size_t shift, std::function<void()>* fn,
+             pthread_t* out) const {
+    if (base_ == nullptr || i >= n_) return false;
+    char* lo = base_ + i * (kStackBytes + kShiftSpan) +
+               (shift * kShiftStep) % kShiftSpan;
+    pthread_attr_t attr;
+    if (pthread_attr_init(&attr) != 0) return false;
+    const bool ok = pthread_attr_setstack(&attr, lo, kStackBytes) == 0 &&
+                    pthread_create(out, &attr, &entry, fn) == 0;
+    pthread_attr_destroy(&attr);
+    return ok;
+  }
+
+ private:
+  static void* entry(void* fn) {
+    (*static_cast<std::function<void()>*>(fn))();
+    return nullptr;
+  }
+
+  std::size_t n_ = 0;
+  std::size_t bytes_ = 0;
+  char* base_ = nullptr;
+};
 
 }  // namespace
 
@@ -67,12 +122,19 @@ AppRun run_app_once(const AppSpec& spec, int threads, std::uint64_t seed) {
   std::atomic<bool> threw{false};
   std::barrier ready(threads + 1);
   std::barrier go(threads + 1);
+  static WorkerStacks stacks(kMaxWorkers);
+  static std::size_t shift = 0;
+  ++shift;
   const cstm::TxStats before = cstm::stats_snapshot();
-  std::vector<std::thread> workers;
-  workers.reserve(n);
+  std::vector<std::function<void()>> bodies;
+  bodies.reserve(n);
+  std::vector<pthread_t> workers(n);
   for (int tid = 0; tid < threads; ++tid) {
-    workers.emplace_back([&, tid] {
+    bodies.emplace_back([&, tid] {
       const auto i = static_cast<std::size_t>(tid);
+      // The host-speed loop runs on the thread, and so most likely on the
+      // core, that then runs the app; it is outside the timed region.
+      if (tid == 0) host_speed().sample();
       ready.arrive_and_wait();
       go.arrive_and_wait();
       start[i] = Clock::now();
@@ -83,11 +145,16 @@ AppRun run_app_once(const AppSpec& spec, int threads, std::uint64_t seed) {
       }
       end[i] = Clock::now();
     });
+    const auto i = static_cast<std::size_t>(tid);
+    if (!stacks.start(i, shift, &bodies[i], &workers[i])) {
+      std::fprintf(stderr, "capbench: cannot start worker %d\n", tid);
+      std::abort();
+    }
   }
   ready.arrive_and_wait();  // every worker exists and waits on `go`
   const Clock::time_point release = Clock::now();
   go.arrive_and_wait();
-  for (std::thread& t : workers) t.join();
+  for (pthread_t& t : workers) pthread_join(t, nullptr);
   r.stats = stats_delta(cstm::stats_snapshot(), before);
 
   Clock::time_point last = release;
@@ -112,27 +179,34 @@ AppRun run_app_once(const AppSpec& spec, int threads, std::uint64_t seed) {
   return r;
 }
 
+std::uint64_t round_seed(std::uint64_t seed, std::uint64_t round) {
+  return cstm::SplitMix64(seed ^ (round * 0x9e3779b97f4a7c15ull)).next();
+}
+
 MixResult run_mix(const MixSpec& mix, std::uint64_t seed, double seconds) {
   MixResult res;
   cstm::set_global_config(mix.config);
   // Warm-up: untimed, and the first set-up of each app in this process.
   for (const AppSpec& spec : mix.apps) {
-    AppRun r = run_app_once(spec, mix.threads, seed);
+    AppRun r = run_app_once(spec, mix.threads, round_seed(seed, 0));
     res.setup_s += r.setup_s;
     if (!r.ok) {
       res.correct = false;
       res.error = r.error;
+      res.attempted = res.failed = 1;
       return res;
     }
   }
   const Clock::time_point t0 = Clock::now();
   do {
+    const std::uint64_t rs = round_seed(seed, res.rounds + 1);
     for (const AppSpec& spec : mix.apps) {
-      AppRun r = run_app_once(spec, mix.threads, seed);
+      AppRun r = run_app_once(spec, mix.threads, rs);
       ++res.attempted;
       if (!r.ok) {
         res.correct = false;
         res.error = r.error;
+        res.failed = 1;
         return res;
       }
       res.timed_s += r.timed_s;
@@ -155,11 +229,23 @@ void stamp_end_to_end(const MixResult& r, Metrics& m) {
     for (std::size_t j = i; j < i + apps; ++j) round_s += r.runs[j].timed_s;
     lat_us.push_back(round_s * 1e6);
   }
-  m.add("setup_s", r.setup_s, "s");
-  m.add("ops_per_s", static_cast<double>(r.stats.commits) / r.timed_s,
-        "ops/s");
-  m.add("op_latency_p50_us", percentile(lat_us, 0.50), "us");
-  m.add("op_latency_p99_us", percentile(lat_us, 0.99), "us");
+  const double ops_per_s = static_cast<double>(r.stats.commits) / r.timed_s;
+  const double p50 = percentile(lat_us, 0.50);
+  const double p99 = percentile(lat_us, 0.99);
+  const double slow = host_speed().slowdown();
+  std::printf(
+      "# wall clock: setup_s %.6f, ops_per_s %.1f, op_latency_p50_us %.1f, "
+      "op_latency_p99_us %.1f; host slowdown %.4f over %zu samples\n",
+      r.setup_s, ops_per_s, p50, p99, slow, host_speed().samples());
+  // Every round's latency at the quiet host's speed, so that run.py can
+  // take the percentiles over the rounds of all its processes.
+  std::printf("# op_latency_us");
+  for (double x : lat_us) std::printf(" %.3f", x / slow);
+  std::printf("\n");
+  m.add("setup_s", r.setup_s / slow, "s");
+  m.add("ops_per_s", ops_per_s * slow, "ops/s");
+  m.add("op_latency_p50_us", p50 / slow, "us");
+  m.add("op_latency_p99_us", p99 / slow, "us");
   m.add("peak_rss_mb", peak_rss_mb(), "MB");
 }
 

@@ -46,6 +46,11 @@ struct AppRun {
 /// one mix draw independent inputs.
 std::uint64_t app_seed(std::uint64_t seed, const std::string& app);
 
+/// The seed of round @p round of a run (round 0 is the warm-up). Each
+/// round draws new inputs, so a run's medians cover many inputs rather
+/// than the one set a single seed gives.
+std::uint64_t round_seed(std::uint64_t seed, std::uint64_t round);
+
 /// Runs @p spec once under the current global TxConfig.
 AppRun run_app_once(const AppSpec& spec, int threads, std::uint64_t seed);
 
@@ -53,7 +58,8 @@ AppRun run_app_once(const AppSpec& spec, int threads, std::uint64_t seed);
 struct MixResult {
   bool correct = true;
   std::string error;
-  std::uint64_t attempted = 0;  // timed app runs
+  std::uint64_t attempted = 0;  // timed app runs, plus a failing warm-up run
+  std::uint64_t failed = 0;     // app runs that failed a check (stops the run)
   double setup_s = 0.0;         // the cold (first) setup() of every app
   double timed_s = 0.0;         // sum of the timed app regions
   cstm::TxStats stats;          // TxStats over the timed app regions
@@ -62,11 +68,15 @@ struct MixResult {
 };
 
 /// Runs an untimed warm-up round (its setups are the cold set-up time),
-/// then whole rounds of the mix until @p seconds have passed.
+/// then whole rounds of the mix until @p seconds have passed. The first
+/// app run that fails a check ends the run and counts as attempted and
+/// failed.
 MixResult run_mix(const MixSpec& mix, std::uint64_t seed, double seconds);
 
-/// Adds the end-to-end metrics of a STAMP run to @p m. Its latency
-/// percentiles are over rounds (one run of every app in the mix).
+/// Adds the end-to-end metrics of a STAMP run to @p m, at the quiet host's
+/// speed (see host_speed.hpp); prints them at wall-clock speed and every
+/// round's latency as report lines. Its latency percentiles are over
+/// rounds (one run of every app in the mix).
 void stamp_end_to_end(const MixResult& r, Metrics& m);
 
 /// Prints the per-app table (medians over the timed rounds).
